@@ -16,6 +16,8 @@ from .counting import DEFAULT_BUDGET, cardinality_formula, enumerate_products
 from .errors import MatSpanError
 from .instances import (
     Instance,
+    _dump_entry,
+    _dump_field,
     dump_instance,
     irreducible_pair_instance,
     parse_instance,
@@ -55,33 +57,18 @@ def _load_instance(path: str) -> Instance:
     return parse_instance(obj)
 
 
-def _field_obj(field) -> dict:
-    out = {"p": field.p, "degree": field.degree}
-    if field.degree > 1:
-        out["modulus"] = list(field.modulus)
-    return out
-
-
-def _elem_obj(e):
-    if e.field.degree == 1:
-        return e.coeffs[0]
-    return list(e.coeffs)
-
-
 def _fmt_elem(e) -> str:
-    if e.field.degree == 1:
-        return str(e.coeffs[0])
-    return str(list(e.coeffs))
+    return str(_dump_entry(e))
 
 
 def _witness_obj(wit) -> dict:
     return {
-        "field": _field_obj(wit.u.field),
-        "alpha": _elem_obj(wit.alpha),
-        "beta": _elem_obj(wit.beta),
-        "u": [_elem_obj(e) for e in wit.u.entries],
-        "v": [_elem_obj(e) for e in wit.v.entries],
-        "value_uSv": _elem_obj(wit.value_uSv),
+        "field": _dump_field(wit.u.field),
+        "alpha": _dump_entry(wit.alpha),
+        "beta": _dump_entry(wit.beta),
+        "u": [_dump_entry(e) for e in wit.u.entries],
+        "v": [_dump_entry(e) for e in wit.v.entries],
+        "value_uSv": _dump_entry(wit.value_uSv),
     }
 
 
@@ -94,7 +81,7 @@ def _cmd_analyze(args) -> int:
     rep = span_verdict(inst.a, inst.b, inst.s)
     if args.json:
         obj = {
-            "field": _field_obj(inst.field),
+            "field": _dump_field(inst.field),
             "m": rep.m,
             "n": rep.n,
             "span_dim": rep.span_dim,

@@ -29,8 +29,11 @@ def _prime_power_base(q: int):
 
 
 def cardinality_formula(q: int, h: int, k: int) -> int:
-    """(q^h - 1)(q^k - 1)/(q - 1) + 1: the number of distinct values of
-    x(A^h ... )y-style products counted by degrees of freedom h and k."""
+    """(q^h - 1)(q^k - 1)/(q - 1) + 1: the number of distinct matrices
+    x(A) S y(B) over F_q with deg x < h and deg y < k, when the products
+    A^i S B^j span the matrix space (and h, k are at most the dimensions).
+    They are then the distinct outer products x y^T of coefficient
+    vectors: the zero matrix plus (q^h - 1)(q^k - 1)/(q - 1) others."""
     if _prime_power_base(q) is None:
         raise InvalidOrder(f"{q} is not a prime power")
     if h < 0 or k < 0:

@@ -161,6 +161,15 @@ def parse_instance(obj) -> Instance:
     return Instance(field, a, b, s)
 
 
+def _dump_field(field: Field) -> dict:
+    """The wire-format field object; the modulus actually in use is
+    always echoed for extension fields so round-trips are exact."""
+    out = {"p": field.p, "degree": field.degree}
+    if field.degree > 1:
+        out["modulus"] = list(field.modulus)
+    return out
+
+
 def _dump_entry(e):
     if e.field.degree == 1:
         return e.coeffs[0]
@@ -172,13 +181,9 @@ def _dump_matrix(m: Mat):
 
 
 def dump_instance(inst: Instance) -> dict:
-    """JSON-ready dict; the modulus actually in use is always echoed for
-    extension fields so round-trips are exact."""
-    fobj = {"p": inst.field.p, "degree": inst.field.degree}
-    if inst.field.degree > 1:
-        fobj["modulus"] = list(inst.field.modulus)
+    """JSON-ready dict in the wire format."""
     return {
-        "field": fobj,
+        "field": _dump_field(inst.field),
         "A": _dump_matrix(inst.a),
         "B": _dump_matrix(inst.b),
         "S": _dump_matrix(inst.s),

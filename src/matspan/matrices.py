@@ -248,6 +248,15 @@ def embed_mat(m: Mat, target: Field) -> Mat:
     return Mat(target, m.rows, m.cols, tuple(embed(e, target) for e in m.entries))
 
 
+def add_scalar(m: Mat, c: Elem) -> Mat:
+    """M + cI for a square M; add_scalar(-M, lam) is the shift lam*I - M."""
+    n = m.rows
+    ents = list(m.entries)
+    for i in range(n):
+        ents[i * n + i] = ents[i * n + i] + c
+    return Mat(m.field, n, n, tuple(ents))
+
+
 # -- elimination -----------------------------------------------------------
 
 
@@ -530,10 +539,7 @@ def poly_at_matrix(f: Poly, m: Mat) -> Mat:
     for c in reversed(f.coeffs):
         acc = acc @ m
         if c:
-            ents = list(acc.entries)
-            for i in range(n):
-                ents[i * n + i] = ents[i * n + i] + c
-            acc = Mat(m.field, n, n, tuple(ents))
+            acc = add_scalar(acc, c)
     return acc
 
 
@@ -583,15 +589,11 @@ def _eigen_items_direct(m: Mat, ext: Field, facs=None):
     if facs is None:
         facs = _factor_default(charpoly(m))
     m_e = embed_mat(m, ext)
-    n = m.rows
     items = []
     total = 0
     for g, mult in facs:
         for lam in _roots_of_irreducible(g, ext):
-            shift_entries = list((-m_e).entries)
-            for i in range(n):
-                shift_entries[i * n + i] = shift_entries[i * n + i] + lam
-            shifted = Mat(ext, n, n, tuple(shift_entries))
+            shifted = add_scalar(-m_e, lam)
             lbasis = left_nullspace(shifted)
             rbasis = right_nullspace(shifted)
             geom = len(rbasis)
@@ -605,7 +607,7 @@ def _eigen_items_direct(m: Mat, ext: Field, facs=None):
                     raise SelfCheckError("right eigenvector verification failed")
             items.append(EigenItem(lam, mult, geom, tuple(lbasis), tuple(rbasis)))
             total += mult
-    if total != n:
+    if total != m.rows:
         raise SelfCheckError("algebraic multiplicities do not sum to the dimension")
     return tuple(items)
 

@@ -4,6 +4,11 @@ This module also owns field construction beyond the prime case: building
 extensions from a validated modulus, the registry of canonical fields
 (smallest-modulus representatives used as splitting fields), and the
 cached embeddings between compatible fields.
+
+Roots are found one way for every field size: factoring yields
+irreducibles, and the roots of an irreducible f over F_q are one root
+split off by Cantor-Zassenhaus plus its conjugates under x -> x^q.
+Embeddings use the same routine on the source modulus.
 """
 
 from __future__ import annotations
@@ -29,9 +34,7 @@ from .fields import MAX_ORDER, Elem, Field, make_prime_field
 
 # Fixed seeds keep the randomized splitting steps reproducible run to run.
 _FACTOR_SEED = 0x5EEDF00D
-_EMBED_SEED = 0xE713ED
-# Below this order, roots are found by direct evaluation.
-_BRUTE_ROOT_LIMIT = 4096
+_ROOT_SEED = 0xE713ED
 
 
 class Poly:
@@ -305,7 +308,10 @@ def smallest_irreducible(base: Field, d: int) -> Poly:
         raise Overflow(
             f"extension order {base.p}^{d} exceeds the bound {MAX_ORDER}"
         )
-    for tail in product(range(base.p), repeat=d):
+    if d == 1:
+        return Poly.x(base)
+    # a zero constant term leaves the factor x, so start it at 1
+    for tail in product(range(1, base.p), *[range(base.p)] * (d - 1)):
         cand = Poly.from_ints(base, list(tail) + [1])
         if is_irreducible(cand):
             return cand
@@ -388,67 +394,6 @@ def _lift_ints(ints, target: Field) -> Poly:
     return Poly(target, tuple(Elem(target, (c % target.p,) + pad) for c in ints))
 
 
-def _split_off_root(f: Poly, field: Field, rng) -> Elem:
-    """One root of f, given that f splits into distinct linear factors."""
-    while f.degree > 1:
-        if f.coeffs[0].is_zero():
-            return field.zero
-        a = Poly(field, tuple(field.random_elem(rng) for _ in range(f.degree)))
-        g = poly_gcd(a, f)
-        if 0 < g.degree < f.degree:
-            f = g if g.degree <= f.degree - g.degree else f // g
-            continue
-        if field.p == 2:
-            # char 2: splitting via the absolute trace of a random element
-            t = a % f
-            acc = t
-            for _ in range(field.degree - 1):
-                t = t * t % f
-                acc = acc + t
-            g = poly_gcd(acc, f)
-        else:
-            b = pow_mod(a, (field.order - 1) // 2, f)
-            g = poly_gcd(b - Poly.one(field), f)
-        if 0 < g.degree < f.degree:
-            f = g if g.degree <= f.degree - g.degree else f // g
-    return -(f.monic().coeffs[0])
-
-
-def _roots_of_split_poly(f: Poly, field: Field, rng, count: int):
-    """All roots of f in field, where f has exactly `count` distinct roots."""
-    if field.order <= _BRUTE_ROOT_LIMIT:
-        roots = [a for a in field.elements() if f(a).is_zero()]
-    else:
-        r = _split_off_root(f, field, rng)
-        roots = [r]
-        seen = {r}
-        # the remaining roots are Frobenius conjugates over the prime field
-        cur = r
-        for _ in range(count * field.degree):
-            cur = cur**field.p
-            if cur in seen:
-                break
-            if f(cur).is_zero():
-                seen.add(cur)
-                roots.append(cur)
-        if len(roots) != count:
-            # conjugation missed some root of a non-irreducible input
-            remaining = f
-            for r0 in roots:
-                remaining = remaining // Poly(
-                    field, (-r0, field.one)
-                )
-            while len(roots) < count:
-                r0 = _split_off_root(remaining, field, rng)
-                roots.append(r0)
-                remaining = remaining // Poly(field, (-r0, field.one))
-    if len(roots) != count:
-        raise SelfCheckError(
-            f"expected {count} roots, found {len(roots)}"
-        )
-    return sorted(roots, key=lambda e: e.coeffs)
-
-
 def _embedding_powers(source: Field, target: Field):
     """Rows of the embedding map: coefficient vectors of rho^i in target.
 
@@ -463,9 +408,7 @@ def _embedding_powers(source: Field, target: Field):
     if got is not None:
         return got
     mod_t = _lift_ints(source.modulus, target)
-    rng = random.Random(_EMBED_SEED)
-    roots = _roots_of_split_poly(mod_t, target, rng, source.degree)
-    rho = roots[0]
+    rho = _irreducible_roots(mod_t, target, target.p)[0]
     rows = []
     acc = target.one
     for _ in range(source.degree):
@@ -564,32 +507,40 @@ def _distinct_degree(g: Poly):
     return out
 
 
+def _random_split(h: Poly, d: int, rng) -> Poly:
+    """One random Cantor-Zassenhaus step: a monic divisor of h.
+
+    h is a product of distinct irreducibles of degree d over a field of
+    order q.  For a random a of degree below deg h the divisor is
+    gcd(a, h) if that is proper, else gcd(Tr(a), h) in characteristic 2
+    and gcd(a^((q^d-1)/2) - 1, h) otherwise.  Callers repeat the step
+    until the divisor is proper, which happens about every other draw.
+    """
+    field = h.field
+    a = Poly(field, tuple(field.random_elem(rng) for _ in range(h.degree)))
+    g = poly_gcd(a, h)
+    if 0 < g.degree < h.degree:
+        return g
+    if field.p == 2:
+        # the absolute trace of a, summed over its Frobenius images mod h
+        t = a % h
+        acc = t
+        for _ in range(field.degree * d - 1):
+            t = t * t % h
+            acc = acc + t
+        return poly_gcd(acc, h)
+    b = pow_mod(a, (field.order**d - 1) // 2, h)
+    return poly_gcd(b - Poly.one(field), h)
+
+
 def _equal_degree_split(h: Poly, d: int, rng, out: list):
     """Split h, a product of distinct irreducibles of degree d, completely."""
-    field = h.field
     if h.degree == d:
         out.append(h.monic())
         return
-    q = field.order
-    while True:
-        a = Poly(field, tuple(field.random_elem(rng) for _ in range(h.degree)))
-        g = poly_gcd(a, h)
-        if 0 < g.degree < h.degree:
-            break
-        if a.degree < 1:
-            continue
-        if field.p == 2:
-            t = a % h
-            acc = t
-            for _ in range(field.degree * d - 1):
-                t = t * t % h
-                acc = acc + t
-            g = poly_gcd(acc, h)
-        else:
-            b = pow_mod(a, (q**d - 1) // 2, h)
-            g = poly_gcd(b - Poly.one(field), h)
-        if 0 < g.degree < h.degree:
-            break
+    g = _random_split(h, d, rng)
+    while not 0 < g.degree < h.degree:
+        g = _random_split(h, d, rng)
     _equal_degree_split(g, d, rng, out)
     _equal_degree_split(h // g, d, rng, out)
 
@@ -626,40 +577,50 @@ def _factor_default(f: Poly):
     return tuple(factor(f))
 
 
+# -- root finding ---------------------------------------------------------
+
+
+def _split_off_root(f: Poly, rng) -> Elem:
+    """One root of f, given that f splits into distinct linear factors."""
+    while f.degree > 1:
+        g = _random_split(f, 1, rng)
+        if 0 < g.degree < f.degree:
+            f = g if 2 * g.degree <= f.degree else f // g
+    return -(f.monic().coeffs[0])
+
+
+def _irreducible_roots(f: Poly, field: Field, q: int) -> tuple:
+    """All roots of f in field, sorted by coefficient vector.
+
+    f must be irreducible over the subfield of order q and have its
+    degree dividing [field : F_q], so that it splits into distinct
+    linear factors in field.  One root r is split off by Cantor-Zassenhaus;
+    the others are its conjugates r^q, r^(q^2), ..., r^(q^(deg f - 1)).
+    """
+    f = embed_poly(f, field)
+    roots = [_split_off_root(f, random.Random(_ROOT_SEED))]
+    for _ in range(f.degree - 1):
+        roots.append(roots[-1] ** q)
+    if len(set(roots)) != f.degree or any(f(r) for r in roots):
+        raise SelfCheckError(f"expected {f.degree} distinct roots of {f}")
+    return tuple(sorted(roots, key=lambda e: e.coeffs))
+
+
 @lru_cache(maxsize=8192)
 def _roots_of_irreducible(g: Poly, ext: Field):
     """All roots in ext of an irreducible g, sorted by coefficient vector.
 
-    Assumes deg(g) divides [ext : owner].  For a prime-field owner, the
-    roots are computed in the small canonical field first and carried
+    Assumes deg(g) divides [ext : owner].  Over an extension owner the
+    roots are found in ext directly.  Over a prime-field owner they are
+    found in the small canonical field of degree deg(g) and carried
     across by the cached embedding; that keeps repeated eigenvalue
     computations cheap.
     """
     owner = g.field
-    dg = g.degree
-    if dg == 1:
-        root = -(g.monic().coeffs[0])
-        return (embed(root, ext),)
-    rng = random.Random(_EMBED_SEED ^ dg)
-    if owner.degree == 1:
-        small = canonical_field(owner.p, dg)
-        g_small = embed_poly(g.monic(), small)
-        roots = _roots_of_split_poly(g_small, small, rng, dg)
-        images = [embed(r, ext) for r in roots]
-    else:
-        g_ext = embed_poly(g.monic(), ext)
-        if ext.order <= _BRUTE_ROOT_LIMIT:
-            images = [a for a in ext.elements() if g_ext(a).is_zero()]
-        else:
-            r = _split_off_root(g_ext, ext, rng)
-            images = [r]
-            q = owner.order
-            cur = r
-            for _ in range(dg - 1):
-                cur = cur**q
-                images.append(cur)
-    if len(set(images)) != dg:
-        raise SelfCheckError(f"expected {dg} distinct roots of {g}")
+    if owner.degree > 1:
+        return _irreducible_roots(g, ext, owner.order)
+    small = canonical_field(owner.p, g.degree)
+    images = [embed(r, ext) for r in _irreducible_roots(g, small, owner.p)]
     return tuple(sorted(images, key=lambda e: e.coeffs))
 
 

@@ -30,6 +30,7 @@ from .errors import (
 from .fields import Elem, Field
 from .matrices import (
     Mat,
+    add_scalar,
     charpoly,
     eigen_data,
     eigen_items_in,
@@ -265,10 +266,7 @@ def pbh_test(h: Mat, k: Mat, d: Optional[int] = None) -> bool:
     k_e = embed_mat(k, ext)
     eig_full = True
     for it in ed.items:
-        shift = list((-h_e).entries)
-        for i in range(p_dim):
-            shift[i * p_dim + i] = shift[i * p_dim + i] + it.value
-        pencil = hstack([Mat(ext, p_dim, p_dim, tuple(shift)), k_e])
+        pencil = hstack([add_scalar(-h_e, it.value), k_e])
         if rank(pencil) != p_dim:
             eig_full = False
             break
@@ -398,17 +396,23 @@ def commutator_test_2x2(a: Mat, b: Mat):
     return det_invertible, criterion
 
 
+def _irreducible_charpolys(a: Mat, b: Mat):
+    """The characteristic polynomials of a and b, checked irreducible."""
+    chis = (charpoly(a), charpoly(b))
+    for chi, name in zip(chis, ("left", "right")):
+        if not is_irreducible(chi):
+            raise NotIrreducible(
+                f"characteristic polynomial of the {name} factor is reducible"
+            )
+    return chis
+
+
 def irreducible_pair_criterion(a: Mat, b: Mat) -> bool:
     """With both characteristic polynomials irreducible, every nonzero S
     spans exactly when the dimensions are coprime; returns that verdict."""
     if b.field is not a.field:
         raise FieldMismatch("matrices over different fields")
-    chi_a = charpoly(a)
-    chi_b = charpoly(b)
-    if not is_irreducible(chi_a):
-        raise NotIrreducible("characteristic polynomial of the left factor is reducible")
-    if not is_irreducible(chi_b):
-        raise NotIrreducible("characteristic polynomial of the right factor is reducible")
+    _irreducible_charpolys(a, b)
     return math.gcd(a.rows, b.rows) == 1
 
 
@@ -471,20 +475,15 @@ def combination_eigenvalues(z: Mat, a: Mat, b: Mat):
     over eigenvalue pairs (alpha, beta), in canonical pair order."""
     if b.field is not a.field or z.field is not a.field:
         raise FieldMismatch("matrices over different fields")
-    chi_a = charpoly(a)
-    chi_b = charpoly(b)
-    if not is_irreducible(chi_a):
-        raise NotIrreducible("characteristic polynomial of the left factor is reducible")
-    if not is_irreducible(chi_b):
-        raise NotIrreducible("characteristic polynomial of the right factor is reducible")
+    chi_a, chi_b = _irreducible_charpolys(a, b)
     m, n = a.rows, b.rows
     if z.rows != m or z.cols != n:
         raise DimensionMismatch(f"weights are {z.rows}x{z.cols}, expected {m}x{n}")
     field = a.field
     deg = field.degree * math.lcm(m, n)
     ext = field if deg == field.degree else canonical_field(field.p, deg)
-    alphas = _roots_of_irreducible(chi_a.monic(), ext)
-    betas = _roots_of_irreducible(chi_b.monic(), ext)
+    alphas = _roots_of_irreducible(chi_a, ext)
+    betas = _roots_of_irreducible(chi_b, ext)
     z_e = embed_mat(z, ext)
     out = []
     for alpha in alphas:

@@ -16,8 +16,8 @@ from itertools import product
 
 from .counting import cardinality_formula, enumerate_products, outer_product_fibers
 from .errors import Overflow
-from .fields import Field
 from .instances import (
+    _random_mat,
     irreducible_pair_instance,
     random_cyclic_instance,
     shift_instance,
@@ -60,17 +60,6 @@ class SuiteResult:
     detail: str
     elapsed: float
     gating: bool
-
-
-def _random_mat(field: Field, rows: int, cols: int, rng) -> Mat:
-    return Mat(field, rows, cols,
-               tuple(field.random_elem(rng) for _ in range(rows * cols)))
-
-
-def _random_monic(field: Field, degree: int, rng) -> Poly:
-    coeffs = [field.random_elem(rng) for _ in range(degree)]
-    coeffs.append(field.one)
-    return Poly(field, coeffs)
 
 
 def _check_witness(report, a: Mat, b: Mat, s: Mat):

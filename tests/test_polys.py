@@ -81,6 +81,22 @@ def test_smallest_irreducible():
     assert smallest_irreducible(F3, 2) == best
 
 
+def test_smallest_irreducible_pinned_moduli():
+    # moduli found by walking every candidate, zero constant terms included
+    pinned = {
+        (2, 16): [1] + [0] * 10 + [1, 0, 1, 0, 1, 1],
+        (2, 20): [1] + [0] * 16 + [1, 0, 0, 1],
+        (3, 10): [1] + [0] * 7 + [2, 0, 1],
+        (101, 4): [1, 0, 0, 1, 1],
+        (46337, 2): [1, 1, 1],
+    }
+    for (p, d), coeffs in pinned.items():
+        base = make_prime_field(p)
+        assert smallest_irreducible(base, d) == Poly.from_ints(base, coeffs)
+    big = make_prime_field(2**31 - 1)
+    assert smallest_irreducible(big, 1) == Poly.x(big)
+
+
 def test_make_extension_errors():
     with pytest.raises(NotIrreducible):
         make_extension(F2, Poly.from_ints(F2, [1, 0, 1]))
@@ -159,6 +175,30 @@ def test_roots_in_examples():
     assert all(not fe(a).is_zero() for a in f8.elements())
 
 
+def _monic_irreducibles(field, degree):
+    for tail in product(list(field.elements()), repeat=degree):
+        g = Poly(field, list(tail) + [field.one])
+        if is_irreducible(g):
+            yield g
+
+
+def test_roots_of_irreducibles_match_evaluation():
+    # reference: evaluate at every element of the smallest field holding
+    # the roots, and of one twice as large where that stays small
+    cases = [(F2, d) for d in (2, 3, 4)] + [(F3, d) for d in (2, 3, 4)]
+    cases += [(canonical_field(2, 2), 2), (canonical_field(3, 2), 2)]
+    for owner, d in cases:
+        degrees = [owner.degree * d]
+        if owner.order ** (2 * d) <= 729:
+            degrees.append(2 * owner.degree * d)
+        for g in _monic_irreducibles(owner, d):
+            for e in degrees:
+                ext = canonical_field(owner.p, e)
+                ge = embed_poly(g, ext)
+                want = [a for a in ext.elements() if ge(a).is_zero()]
+                assert roots_in(g, ext) == want, (g, ext)
+
+
 def test_roots_counted_with_multiplicity():
     rng = random.Random(4242)
     import math
@@ -202,6 +242,26 @@ def test_embed_random_f9_to_f81():
         b = f9.random_elem(rng)
         assert embed(a, f81) * embed(b, f81) == embed(a * b, f81)
         assert embed(a, f81) + embed(b, f81) == embed(a + b, f81)
+
+
+def test_embed_generator_images_pinned():
+    # the smallest root of the source modulus, as found by evaluation
+    pinned = {
+        (2, 2, 4): (0, 1, 0, 1),
+        (2, 2, 6): (0, 0, 0, 1, 1, 1),
+        (2, 3, 6): (0, 1, 0, 1, 0, 0),
+        (2, 4, 8): (0, 0, 0, 1, 0, 1, 0, 1),
+        (2, 3, 12): (1, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 0),
+        (2, 5, 10): (0, 1, 0, 0, 0, 0, 0, 1, 1, 0),
+        (3, 2, 4): (0, 1, 2, 0),
+        (3, 3, 6): (0, 1, 1, 1, 2, 2),
+        (3, 4, 8): (0, 0, 1, 1, 1, 2, 2, 2),
+        (5, 2, 4): (1, 0, 3, 1),
+        (7, 2, 4): (1, 0, 4, 1),
+    }
+    for (p, d1, d2), image in pinned.items():
+        got = embed(canonical_field(p, d1).gen(), canonical_field(p, d2))
+        assert got.coeffs == image, (p, d1, d2)
 
 
 def test_embed_unavailable():

@@ -32,8 +32,9 @@ def test_quick_level_passes():
 
 def test_seed_override_still_passes():
     # the randomized suites accept a seed override without losing coverage
-    r = run_suite("cardinality-grid", seed=12345)
-    assert r.passed, r.detail
+    for name in ("cardinality-grid", "squarefree-dimension"):
+        r = run_suite(name, seed=12345)
+        assert r.passed, (name, r.detail)
 
 
 def test_crash_is_reported_not_raised(monkeypatch):
