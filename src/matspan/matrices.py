@@ -4,6 +4,12 @@ Matrices are immutable, own a field, and may be empty (zero rows or
 columns); ranks and nullspaces of empty matrices follow the usual
 conventions.  Eigenvalue data is computed exactly in a splitting field
 built over the same prime field.
+
+`Mat` and `Elem` are the public boundary, but over a prime field `@` and
+`rank` compute on the entries as plain ints in [0, p): a product takes
+one reduction per output entry, after the whole dot product, and rank
+eliminates on int rows, over GF(2) with each row packed into one int and
+reduced by XOR.  Extension fields use the `Elem` arithmetic.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -149,7 +156,19 @@ class Mat:
                 f"multiplying {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         n, k, m = self.rows, self.cols, other.cols
-        zero = self.field.zero
+        field = self.field
+        if field.degree == 1:
+            p = field.p
+            a, b = _residues(self), _residues(other)
+            arows = [a[i * k : (i + 1) * k] for i in range(n)]
+            bcols = [b[j::m] for j in range(m)]
+            out = [
+                Elem(field, (sum(map(mul, row, col)) % p,))
+                for row in arows
+                for col in bcols
+            ]
+            return Mat(field, n, m, tuple(out))
+        zero = field.zero
         a, b = self.entries, other.entries
         out = []
         for i in range(n):
@@ -161,7 +180,7 @@ class Mat:
                     if x:
                         acc = acc + x * b[t * m + j]
                 out.append(acc)
-        return Mat(self.field, n, m, tuple(out))
+        return Mat(field, n, m, tuple(out))
 
     def scale(self, c: Elem) -> "Mat":
         if c.field is not self.field:
@@ -260,8 +279,65 @@ def add_scalar(m: Mat, c: Elem) -> Mat:
 # -- elimination -----------------------------------------------------------
 
 
+def _residues(m: Mat) -> list:
+    """The entries of a prime-field matrix as ints in [0, p), row-major."""
+    field = m.field
+    for e in m.entries:
+        if e.field is not field:
+            raise FieldMismatch(f"entry of {e.field} in a matrix over {field}")
+    return [e.coeffs[0] for e in m.entries]
+
+
+def _rank_gf2(rows) -> int:
+    """Rank of 0/1 int rows: each row packed into one int, reduced by XOR
+    against stored rows with distinct lowest set bits."""
+    pivots = {}
+    for row in rows:
+        v = int("".join(map(str, row)) or "0", 2)
+        while v:
+            low = v & -v
+            b = pivots.get(low)
+            if b is None:
+                pivots[low] = v
+                break
+            v ^= b
+    return len(pivots)
+
+
+def _rank_mod_p(rows, ncols: int, p: int) -> int:
+    """Rank of int rows over F_p by Gaussian elimination."""
+    nrows = len(rows)
+    r = 0
+    for c in range(ncols):
+        for piv in range(r, nrows):
+            if rows[piv][c]:
+                break
+        else:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        # row i becomes row i + t * tail, with t its entry in column c
+        inv = pow(prow[c], -1, p)
+        tail = [-y * inv % p for y in prow[c:]]
+        for i in range(r + 1, nrows):
+            ri = rows[i]
+            t = ri[c]
+            if t:
+                ri[c:] = [(x + t * y) % p for x, y in zip(ri[c:], tail)]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
 def rank(m: Mat) -> int:
-    """Rank by exact Gaussian elimination, pivoting on first nonzero entries."""
+    """Rank by exact Gaussian elimination."""
+    if m.field.degree == 1:
+        ents, c = _residues(m), m.cols
+        rows = [ents[i * c : (i + 1) * c] for i in range(m.rows)]
+        if m.field.p == 2:
+            return _rank_gf2(rows)
+        return _rank_mod_p(rows, c, m.field.p)
     rows = m.row_list()
     nrows, ncols = m.rows, m.cols
     r = 0

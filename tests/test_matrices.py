@@ -107,6 +107,19 @@ def test_matmul_and_transpose():
         a @ Mat.identity(F3, 3)
 
 
+def test_mixed_field_entries_raise():
+    # a Mat built directly from entries of two fields: the int kernels of
+    # rank and @ check the owner of every entry, zeros included
+    for field, other in ((F3, F5), (F2, F5)):
+        mixed = Mat(field, 2, 2, (field.one, other.zero, field.zero, field.one))
+        with pytest.raises(FieldMismatch):
+            rank(mixed)
+        with pytest.raises(FieldMismatch):
+            mixed @ Mat.identity(field, 2)
+        with pytest.raises(FieldMismatch):
+            Mat.identity(field, 2) @ mixed
+
+
 def test_powers_and_scaling():
     m = Mat.from_rows(F3, [[1, 1], [0, 1]])
     assert (m ** 0) == Mat.identity(F3, 2)
@@ -396,8 +409,52 @@ def test_eigen_items_in_larger_field():
 
 
 def test_rank_invariant_under_embedding():
+    # Over a prime field rank and @ compute on ints (GF(2) rows packed into
+    # ints); embedded in GF(p^2) the same matrices take the Elem path.
     rng = random.Random(0x5EED09)
     f4 = canonical_field(2, 2)
     for _ in range(60):
         m = rand_mat(F2, rng.randrange(1, 5), rng.randrange(1, 5), rng)
         assert rank(embed_mat(m, f4)) == rank(m)
+    pairs = []  # (a, b) with a @ b defined
+    for p in (2, 3, 46337):
+        f = make_prime_field(p)
+        for _ in range(25):
+            # low-rank products as well as random matrices; 0 dimensions too
+            r, k, c, inner = (rng.randrange(0, 7) for _ in range(4))
+            a = rand_mat(f, r, inner, rng) @ rand_mat(f, inner, k, rng)
+            pairs.append((a, rand_mat(f, k, c, rng)))
+    # GF(2) rows wider than one 64-bit word once packed
+    wide = rand_mat(F2, 30, 7, rng) @ rand_mat(F2, 7, 130, rng)
+    pairs.append((wide, rand_mat(F2, 130, 3, rng)))
+    pairs.append((rand_mat(F2, 80, 90, rng), rand_mat(F2, 90, 2, rng)))
+    pairs.append((rand_mat(F2, 20, 100, rng), rand_mat(F2, 100, 70, rng)))
+    for a, b in pairs:
+        ext = canonical_field(a.field.p, 2)
+        a_e, b_e = embed_mat(a, ext), embed_mat(b, ext)
+        assert rank(a_e) == rank(a)
+        assert rank(a_e.T) == rank(a.T)
+        assert a_e @ b_e == embed_mat(a @ b, ext)
+    assert rank(wide) <= 7 and rank(pairs[-2][0]) > 64
+    # GF(p^2) exceeds the order bound for these p: compare with Elem dot
+    # products and the Elem elimination behind right_nullspace.  All
+    # entries p - 1 make the unreduced dot products exceed 2^32 (65521)
+    # and 2^64 (2^31 - 1).
+    for p, bound in ((65521, 2**32), (2**31 - 1, 2**64)):
+        f = make_prime_field(p)
+        top = f.elem(p - 1)
+        assert 8 * (p - 1) ** 2 > bound
+        full = Mat(f, 3, 8, (top,) * 24)
+        cases = [(full, full.T)]
+        for _ in range(10):
+            r, k, c, inner = (rng.randrange(0, 7) for _ in range(4))
+            a = rand_mat(f, r, inner, rng) @ rand_mat(f, inner, k, rng)
+            cases.append((a, rand_mat(f, k, c, rng)))
+        for a, b in cases:
+            assert rank(a) == a.cols - len(right_nullspace(a))
+            prod = a @ b
+            for i in range(a.rows):
+                for j in range(b.cols):
+                    want = sum((x * y for x, y in zip(a.row(i), b.col(j))), f.zero)
+                    assert prod[i, j] == want
+        assert (full @ full.T)[0, 0] == f.elem(8)
