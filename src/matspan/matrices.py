@@ -3,7 +3,9 @@
 Matrices are immutable, own a field, and may be empty (zero rows or
 columns); ranks and nullspaces of empty matrices follow the usual
 conventions.  Eigenvalue data is computed exactly in a splitting field
-built over the same prime field.
+built over the same prime field.  The minimal polynomial, cyclicity and
+eigen data all rest on one factorization of the characteristic
+polynomial, and every elimination over an extension field is `_rref`.
 
 `Mat` and `Elem` are the public boundary, but over a prime field `@` and
 `rank` compute on the entries as plain ints in [0, p): a product takes
@@ -34,7 +36,6 @@ from .polys import (
     _roots_of_irreducible,
     canonical_field,
     embed,
-    poly_gcd,
 )
 
 
@@ -212,8 +213,17 @@ class Mat:
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
 
+    def _check_entries(self):
+        field = self.field
+        for e in self.entries:
+            if e.field is not field:
+                raise FieldMismatch(f"entry of {e.field} in a matrix over {field}")
+
     def key(self):
+        """(field token, shape, coefficients): what ==, hash and the memo
+        caches compare, so an entry of another field raises here."""
         if self._key is None:
+            self._check_entries()
             flat = tuple(c for e in self.entries for c in e.coeffs)
             self._key = (self.field.token, self.rows, self.cols, flat)
         return self._key
@@ -281,10 +291,7 @@ def add_scalar(m: Mat, c: Elem) -> Mat:
 
 def _residues(m: Mat) -> list:
     """The entries of a prime-field matrix as ints in [0, p), row-major."""
-    field = m.field
-    for e in m.entries:
-        if e.field is not field:
-            raise FieldMismatch(f"entry of {e.field} in a matrix over {field}")
+    m._check_entries()
     return [e.coeffs[0] for e in m.entries]
 
 
@@ -338,32 +345,7 @@ def rank(m: Mat) -> int:
         if m.field.p == 2:
             return _rank_gf2(rows)
         return _rank_mod_p(rows, c, m.field.p)
-    rows = m.row_list()
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inv()
-        prow = rows[r]
-        for i in range(r + 1, nrows):
-            t = rows[i][c]
-            if t:
-                t = t * inv
-                ri = rows[i]
-                for j in range(c, ncols):
-                    if prow[j]:
-                        ri[j] = ri[j] - t * prow[j]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_rref(m.row_list(), m.cols))
 
 
 def _rref(rows, ncols):
@@ -531,68 +513,26 @@ def charpoly(m: Mat) -> Poly:
     return polys[n]
 
 
-def _poly_lcm(f: Poly, g: Poly) -> Poly:
-    if f.is_zero() or g.is_zero():
-        raise ZeroPolynomial("lcm with the zero polynomial")
-    return ((f * g) // poly_gcd(f, g)).monic()
-
-
 @lru_cache(maxsize=8192)
 def minpoly(m: Mat) -> Poly:
-    """Minimal polynomial, as the lcm of the minimal Krylov relations of
-    the standard basis vectors."""
+    """Minimal polynomial, from the factored characteristic polynomial.
+
+    For a factor g of multiplicity k the kernel of g(M)^e grows with e
+    until it is the whole generalized eigenspace, of dimension k*deg g;
+    the exponent of g in the minimal polynomial is the least such e.
+    """
     if m.rows != m.cols:
         raise NotSquare(f"minimal polynomial of a {m.rows}x{m.cols} matrix")
     n = m.rows
-    field = m.field
-    if n == 0:
-        return Poly.one(field)
-    result = Poly.one(field)
-    zero, one = field.zero, field.one
-    mrows = m.row_list()
-    for b in range(n):
-        if result.degree == n:
-            break
-        cur = [zero] * n
-        cur[b] = one
-        ech = []  # (pivot, reduced vector, combination coefficients)
-        k = 0
-        while True:
-            v = list(cur)
-            rep = [zero] * k + [one]
-            for pc, evec, erep in ech:
-                c = v[pc]
-                if c:
-                    for i in range(n):
-                        if evec[i]:
-                            v[i] = v[i] - c * evec[i]
-                    for i in range(len(erep)):
-                        if erep[i]:
-                            rep[i] = rep[i] - c * erep[i]
-            piv = None
-            for i in range(n):
-                if v[i]:
-                    piv = i
-                    break
-            if piv is None:
-                rel = Poly(field, rep)
-                break
-            inv = v[piv].inv()
-            v = [e * inv for e in v]
-            rep = [e * inv for e in rep]
-            ech.append((piv, v, rep))
-            # next raw Krylov vector
-            nxt = []
-            for i in range(n):
-                acc = zero
-                row = mrows[i]
-                for t in range(n):
-                    if cur[t] and row[t]:
-                        acc = acc + row[t] * cur[t]
-                nxt.append(acc)
-            cur = nxt
-            k += 1
-        result = _poly_lcm(result, rel)
+    result = Poly.one(m.field)
+    for g, k in _factor_default(charpoly(m)):
+        result = result * g
+        if k > 1:
+            gm = poly_at_matrix(g, m)
+            power = gm
+            while rank(power) != n - k * g.degree:
+                power = power @ gm
+                result = result * g
     return result
 
 
@@ -656,18 +596,13 @@ class EigenData:
     items: tuple
 
 
-def _eigen_items_direct(m: Mat, ext: Field, facs=None):
-    """Eigen structure of m computed directly in ext.
-
-    ext must contain every eigenvalue; factors may be passed when the
-    caller already has them.
-    """
-    if facs is None:
-        facs = _factor_default(charpoly(m))
+def _eigen_items_direct(m: Mat, ext: Field):
+    """Eigen structure of m computed directly in ext, which must contain
+    every eigenvalue."""
     m_e = embed_mat(m, ext)
     items = []
     total = 0
-    for g, mult in facs:
+    for g, mult in _factor_default(charpoly(m)):
         for lam in _roots_of_irreducible(g, ext):
             shifted = add_scalar(-m_e, lam)
             lbasis = left_nullspace(shifted)
@@ -699,15 +634,9 @@ def eigen_data(m: Mat) -> EigenData:
     if m.rows != m.cols:
         raise NotSquare(f"eigen data of a {m.rows}x{m.cols} matrix")
     field = m.field
-    facs = _factor_default(charpoly(m))
-    if facs:
-        span_deg = math.lcm(*[g.degree for g, _ in facs])
-    else:
-        span_deg = 1
-    ldeg = field.degree * span_deg
-    ext = field if ldeg == field.degree else canonical_field(field.p, ldeg)
-    items = _eigen_items_direct(m, ext, facs)
-    return EigenData(m.rows, ext, items)
+    deg = splitting_degree_over_prime(m)
+    ext = field if deg == field.degree else canonical_field(field.p, deg)
+    return EigenData(m.rows, ext, _eigen_items_direct(m, ext))
 
 
 def eigen_items_in(m: Mat, ext: Field):

@@ -5,10 +5,11 @@ extensions from a validated modulus, the registry of canonical fields
 (smallest-modulus representatives used as splitting fields), and the
 cached embeddings between compatible fields.
 
-Roots are found one way for every field size: factoring yields
-irreducibles, and the roots of an irreducible f over F_q are one root
-split off by Cantor-Zassenhaus plus its conjugates under x -> x^q.
-Embeddings use the same routine on the source modulus.
+Roots are found one way for every field size and every owner: factoring
+yields irreducibles, and the roots of an irreducible f over F_q in an
+extension K are one root split off by Cantor-Zassenhaus in K itself plus
+its conjugates under x -> x^q.  Embeddings use the same routine on the
+source modulus.
 """
 
 from __future__ import annotations
@@ -359,7 +360,10 @@ def canonical_field(p: int, d: int) -> Field:
     if d == 1:
         field = base
     else:
-        field = make_extension(base, smallest_irreducible(base, d))
+        # smallest_irreducible proves its result irreducible, so the
+        # checks of make_extension would only repeat that proof
+        modulus = smallest_irreducible(base, d)
+        field = Field(p, d, tuple(c.coeffs[0] for c in modulus.coeffs))
     with _canonical_lock:
         return _canonical_registry.setdefault(key, field)
 
@@ -610,18 +614,10 @@ def _irreducible_roots(f: Poly, field: Field, q: int) -> tuple:
 def _roots_of_irreducible(g: Poly, ext: Field):
     """All roots in ext of an irreducible g, sorted by coefficient vector.
 
-    Assumes deg(g) divides [ext : owner].  Over an extension owner the
-    roots are found in ext directly.  Over a prime-field owner they are
-    found in the small canonical field of degree deg(g) and carried
-    across by the cached embedding; that keeps repeated eigenvalue
-    computations cheap.
+    Assumes deg(g) divides [ext : owner]; the roots are found in ext
+    directly, whatever the owner of g.
     """
-    owner = g.field
-    if owner.degree > 1:
-        return _irreducible_roots(g, ext, owner.order)
-    small = canonical_field(owner.p, g.degree)
-    images = [embed(r, ext) for r in _irreducible_roots(g, small, owner.p)]
-    return tuple(sorted(images, key=lambda e: e.coeffs))
+    return _irreducible_roots(g, ext, g.field.order)
 
 
 def roots_in(f: Poly, ext: Field):

@@ -140,6 +140,17 @@ def _pair_value(u: Mat, s_e: Mat, v: Mat) -> Elem:
     return ((u @ s_e) @ v).entries[0]
 
 
+def _kernel_vector(basis, value) -> Mat:
+    """A nonzero vector of span(basis[0], basis[1]) on which the linear
+    functional value vanishes: basis[0] itself, or w1*basis[0] - w0*basis[1]
+    with w0, w1 the values of the two."""
+    b0, b1 = basis[0], basis[1]
+    w0 = value(b0)
+    if w0.is_zero():
+        return b0
+    return b0.scale(value(b1)) - b1.scale(w0)
+
+
 def coupling_condition(a: Mat, b: Mat, s: Mat):
     """Check uSv != 0 for every left eigenvector u of A and right
     eigenvector v of B, over a common splitting extension.
@@ -162,25 +173,13 @@ def coupling_condition(a: Mat, b: Mat, s: Mat):
         if it.geom_mult >= 2:
             other = items_b[0]
             v = other.right_basis[0]
-            u0, u1 = it.left_basis[0], it.left_basis[1]
-            w0 = _pair_value(u0, s_e, v)
-            if w0.is_zero():
-                u = u0
-            else:
-                w1 = _pair_value(u1, s_e, v)
-                u = u0.scale(w1) - u1.scale(w0)
+            u = _kernel_vector(it.left_basis, lambda x: _pair_value(x, s_e, v))
             return False, Witness(it.value, other.value, u, v, _pair_value(u, s_e, v))
     for it in items_b:
         if it.geom_mult >= 2:
             other = items_a[0]
             u = other.left_basis[0]
-            v0, v1 = it.right_basis[0], it.right_basis[1]
-            w0 = _pair_value(u, s_e, v0)
-            if w0.is_zero():
-                v = v0
-            else:
-                w1 = _pair_value(u, s_e, v1)
-                v = v0.scale(w1) - v1.scale(w0)
+            v = _kernel_vector(it.right_basis, lambda x: _pair_value(u, s_e, x))
             return False, Witness(other.value, it.value, u, v, _pair_value(u, s_e, v))
     for ita in items_a:
         u = ita.left_basis[0]
@@ -479,9 +478,7 @@ def combination_eigenvalues(z: Mat, a: Mat, b: Mat):
     m, n = a.rows, b.rows
     if z.rows != m or z.cols != n:
         raise DimensionMismatch(f"weights are {z.rows}x{z.cols}, expected {m}x{n}")
-    field = a.field
-    deg = field.degree * math.lcm(m, n)
-    ext = field if deg == field.degree else canonical_field(field.p, deg)
+    ext = _common_eigen_field(a, b)
     alphas = _roots_of_irreducible(chi_a, ext)
     betas = _roots_of_irreducible(chi_b, ext)
     z_e = embed_mat(z, ext)

@@ -19,6 +19,7 @@ from matspan import (
     eigen_items_in,
     embed,
     embed_mat,
+    factor,
     hstack,
     is_cyclic,
     kron,
@@ -118,6 +119,16 @@ def test_mixed_field_entries_raise():
             mixed @ Mat.identity(field, 2)
         with pytest.raises(FieldMismatch):
             Mat.identity(field, 2) @ mixed
+    # ==, hash and the memo caches compare keys, which check owners too:
+    # a GF(3) matrix holding a GF(5) entry is not equal to a GF(3) one
+    # and is not answered from the cache of one
+    same = Mat(F3, 1, 1, (F3.one,))
+    mixed = Mat(F3, 1, 1, (F5.one,))
+    charpoly(same)
+    for op in (lambda: mixed == same, lambda: same == mixed, lambda: hash(mixed),
+               lambda: charpoly(mixed), lambda: minpoly(mixed)):
+        with pytest.raises(FieldMismatch):
+            op()
 
 
 def test_powers_and_scaling():
@@ -312,15 +323,48 @@ def test_minpoly_examples():
         minpoly(Mat.zeros(F3, 1, 2))
 
 
+def block_diag(*blocks):
+    field = blocks[0].field
+    n = sum(b.rows for b in blocks)
+    rows = [[field.zero] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i in range(b.rows):
+            rows[off + i][off : off + b.cols] = b.row(i)
+        off += b.rows
+    return Mat.from_rows(field, rows)
+
+
 def test_minpoly_divides_charpoly():
     rng = random.Random(0x5EED08)
+    mats = []
     for _ in range(200):
         field = (F2, F3)[rng.randrange(2)]
         n = rng.randrange(1, 5)
-        m = rand_mat(field, n, n, rng)
+        mats.append(rand_mat(field, n, n, rng))
+    # factors whose exponent in the minimal polynomial is below their
+    # multiplicity: repeated blocks, scalars and nilpotent shifts
+    for field in (F2, F3, canonical_field(2, 2), canonical_field(3, 2)):
+        for n in range(1, 4):
+            blk = rand_mat(field, n, n, rng)
+            shift = companion(Poly.from_ints(field, [0] * n + [1]))
+            mats += [
+                rand_mat(field, n + 1, n + 1, rng),
+                block_diag(blk, blk),
+                block_diag(blk, blk, rand_mat(field, 1, 1, rng)),
+                Mat.identity(field, n + 1).scale(field.random_elem(rng)),
+                block_diag(shift, shift),
+                block_diag(companion(Poly.from_ints(field, [0] * (n + 1) + [1])), shift),
+            ]
+    strict = 0
+    for m in mats:
         mu, chi = minpoly(m), charpoly(m)
-        assert (chi % mu).is_zero()
+        assert mu.is_monic() and (chi % mu).is_zero()
         assert poly_at_matrix(mu, m).is_zero()
+        for g, _ in factor(mu):
+            assert not poly_at_matrix(mu // g, m).is_zero()  # minimal
+        strict += mu.degree < chi.degree
+    assert strict >= 60  # five of the six structured kinds, at least
 
 
 def test_is_cyclic_examples():
