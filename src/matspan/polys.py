@@ -10,6 +10,15 @@ yields irreducibles, and the roots of an irreducible f over F_q in an
 extension K are one root split off by Cantor-Zassenhaus in K itself plus
 its conjugates under x -> x^q.  Embeddings use the same routine on the
 source modulus.
+
+Modular powers (``pow_mod``, the irreducibility test, distinct-degree
+factoring and the random splitting steps, the characteristic-2 trace
+included) run on packed integers: a residue of F_q[x]/(g) is one Python
+int holding one w-bit slot per F_p digit, a product is one integer
+multiply, and reduction folds the high slots by precomputed powers of x
+and of the field generator before it reduces every slot mod p once.  w
+comes from a proven bound on the slot sums, so no carry ever crosses
+into the next slot (see ``_ResidueRing``).
 """
 
 from __future__ import annotations
@@ -239,18 +248,146 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return a.monic()
 
 
+def _repunit(n: int, width: int) -> int:
+    """An int with bit 0 set in each of n slots of the given width."""
+    return ((1 << (width * n)) - 1) // ((1 << width) - 1)
+
+
+class _ResidueRing:
+    """F_q[x]/(g) for q = p^D and deg g = k >= 1, each residue one int.
+
+    Kronecker substitution: the F_p digit j of the coefficient of x^i sits
+    in the w-bit slot i*W + j, with W = 2D - 1 slots per x-block, so the
+    digit products of two residues (y-degree at most 2D - 2 in a block,
+    x-degree at most 2k - 2) land in distinct slots of one integer
+    product.  Reduction is delayed: the y-slots j >= D of every block are
+    folded at once by y^j mod m(y), the blocks t >= k one by one by
+    x^t mod g, the y-slots once more, and only then is every slot reduced
+    mod p.  Every digit, of the operands and of the folds, is at most
+    p - 1.  So after the first y-fold a slot of x-block i is at most
+    n_i * c1, where n_i <= k counts the pairs of x-degrees summing to i
+    and sum(n_i for i >= k) = k(k-1)/2; after the x-fold it is at most c2,
+    and after the second y-fold at most B, where
+
+        c1 = (p-1)^2 (D + (p-1) D(D-1)/2)
+        c2 = c1 (k + (p-1) D k(k-1)/2)
+        B  = c2 (1 + (p-1)(D-1)).
+
+    The product itself is at most k D (p-1)^2 <= c2 <= B in every slot, so
+    w = B.bit_length() bits hold every slot at every step and no carry
+    crosses into the next one.  Residues are canonical: equal residues are
+    equal ints.
+    """
+
+    __slots__ = ("mod", "k", "_p", "_w", "_span", "_digit", "_low",
+                 "_slot0", "_low_y", "_low_x", "_digits", "_shifts",
+                 "_x_folds", "_y_folds")
+
+    def __init__(self, mod: Poly):
+        field = mod.field
+        p, d, k = field.p, field.degree, mod.degree
+        c1 = (p - 1) ** 2 * (d + (p - 1) * d * (d - 1) // 2)
+        c2 = c1 * (k + (p - 1) * d * k * (k - 1) // 2)
+        w = (c2 * (1 + (p - 1) * (d - 1))).bit_length()
+        span = w * (2 * d - 1)
+        self.mod, self.k, self._p, self._w, self._span = mod, k, p, w, span
+        self._digit = (1 << w) - 1
+        self._low = (1 << (w * d)) - 1  # the y-slots below D of one block
+        blocks = _repunit(2 * k - 1, span)
+        self._slot0 = blocks * self._digit
+        self._low_y = blocks * self._low
+        self._low_x = (1 << (span * k)) - 1
+        self._digits = _repunit(d, w) * _repunit(k, span)
+        self._shifts = [i * span + j * w for i in range(k) for j in range(d)]
+        self._y_folds = []
+        if d > 1:  # y^j mod m(y) for j = D .. 2D - 2
+            m = field.modulus[:-1]
+            y = [-c % p for c in m]
+            for _ in range(d - 1):
+                self._y_folds.append(sum(c << (j * w) for j, c in enumerate(y)))
+                y = [(lo - y[-1] * c) % p for lo, c in zip([0] + y[:-1], m)]
+        # x^t mod g for t = k .. 2k - 2, each from the one before
+        self._x_folds = []
+        if k > 1:
+            self._x_folds.append(self.pack(-Poly(field, mod.monic().coeffs[:-1])))
+            for _ in range(k - 2):
+                self._x_folds.append(self._reduce(self._x_folds[-1] << span))
+
+    def pack(self, f: Poly) -> int:
+        """The residue of f, which must have degree below k."""
+        span, w = self._span, self._w
+        r = 0
+        for i, c in enumerate(f.coeffs):
+            for j, v in enumerate(c.coeffs):
+                if v:
+                    r |= v << (i * span + j * w)
+        return r
+
+    def unpack(self, r: int) -> Poly:
+        field = self.mod.field
+        digit, w, d = self._digit, self._w, field.degree
+        coeffs = []
+        for i in range(self.k):
+            block = r >> (i * self._span)
+            coeffs.append(Elem(field, tuple(block >> (j * w) & digit for j in range(d))))
+        return Poly(field, coeffs)
+
+    def _fold_y(self, r: int) -> int:
+        out = r & self._low_y
+        for j, yj in enumerate(self._y_folds, len(self._y_folds) + 1):
+            out += (r >> (j * self._w) & self._slot0) * yj
+        return out
+
+    def _reduce(self, r: int) -> int:
+        if self._y_folds:
+            r = self._fold_y(r)
+        out = r & self._low_x
+        high = r >> (self._span * self.k)
+        for xt in self._x_folds:
+            if not high:
+                break
+            out += (high & self._low) * xt
+            high >>= self._span
+        if self._y_folds:
+            out = self._fold_y(out)
+        if self._p == 2:
+            return out & self._digits
+        p, digit = self._p, self._digit
+        r = 0
+        for s in self._shifts:
+            r |= (out >> s & digit) % p << s
+        return r
+
+    def mul(self, a: int, b: int) -> int:
+        return self._reduce(a * b)
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e for e >= 1, by square and multiply."""
+        r = a
+        for bit in bin(e)[3:]:
+            r = self._reduce(r * r)
+            if bit == "1":
+                r = self._reduce(r * a)
+        return r
+
+
 def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    """base**e reduced modulo mod, by binary exponentiation."""
+    """base**e reduced modulo mod; e = 0 gives 1.
+
+    Binary exponentiation in the packed residue ring of F_q[x]/(mod)
+    (``_ResidueRing``): each product is one integer multiply, and the
+    slots are wide enough, by a proven bound on their sums, that no carry
+    passes between digits before the single reduction mod p.
+    """
     if e < 0:
         raise ValueError("exponent must be non-negative")
-    result = Poly.one(base.field)
     base = base % mod
-    while e:
-        if e & 1:
-            result = result * base % mod
-        base = base * base % mod
-        e >>= 1
-    return result
+    if e == 0:
+        return Poly.one(base.field)
+    if base.is_zero():
+        return base
+    ring = _ResidueRing(mod)
+    return ring.unpack(ring.pow(ring.pack(base), e))
 
 
 def _prime_divisors(n: int):
@@ -285,14 +422,15 @@ def is_irreducible(f: Poly) -> bool:
         return False
     q = f.field.order
     x = Poly.x(f.field)
+    ring = _ResidueRing(f)
     checkpoints = {n // r for r in _prime_divisors(n)}
-    cur = x % f
+    start = cur = ring.pack(x)
     for i in range(1, n + 1):
-        cur = pow_mod(cur, q, f)
+        cur = ring.pow(cur, q)
         if i in checkpoints:
-            if poly_gcd(cur - x, f).degree != 0:
+            if poly_gcd(ring.unpack(cur) - x, f).degree != 0:
                 return False
-    return cur == x % f
+    return cur == start
 
 
 def smallest_irreducible(base: Field, d: int) -> Poly:
@@ -497,10 +635,13 @@ def _distinct_degree(g: Poly):
     out = []
     x = Poly.x(field)
     cur = x % g
+    ring = None
     d = 0
     while g.degree >= 2 * (d + 1):
         d += 1
-        cur = pow_mod(cur, q, g)
+        if ring is None or ring.mod is not g:
+            ring = _ResidueRing(g)
+        cur = ring.unpack(ring.pow(ring.pack(cur), q))
         h = poly_gcd(cur - x, g)
         if h.degree > 0:
             out.append((d, h))
@@ -511,29 +652,32 @@ def _distinct_degree(g: Poly):
     return out
 
 
-def _random_split(h: Poly, d: int, rng) -> Poly:
-    """One random Cantor-Zassenhaus step: a monic divisor of h.
+def _random_split(ring: _ResidueRing, d: int, rng) -> Poly:
+    """One random Cantor-Zassenhaus step: a monic divisor of h = ring.mod.
 
     h is a product of distinct irreducibles of degree d over a field of
     order q.  For a random a of degree below deg h the divisor is
     gcd(a, h) if that is proper, else gcd(Tr(a), h) in characteristic 2
     and gcd(a^((q^d-1)/2) - 1, h) otherwise.  Callers repeat the step
-    until the divisor is proper, which happens about every other draw.
+    until the divisor is proper, which happens about every other draw,
+    and share one ring of residues mod h across the repeats.
     """
+    h = ring.mod
     field = h.field
     a = Poly(field, tuple(field.random_elem(rng) for _ in range(h.degree)))
     g = poly_gcd(a, h)
     if 0 < g.degree < h.degree:
         return g
+    t = ring.pack(a)
     if field.p == 2:
-        # the absolute trace of a, summed over its Frobenius images mod h
-        t = a % h
+        # the absolute trace of a, summed over its Frobenius images mod h;
+        # digits mod 2 add slot by slot as XOR
         acc = t
         for _ in range(field.degree * d - 1):
-            t = t * t % h
-            acc = acc + t
-        return poly_gcd(acc, h)
-    b = pow_mod(a, (field.order**d - 1) // 2, h)
+            t = ring.mul(t, t)
+            acc ^= t
+        return poly_gcd(ring.unpack(acc), h)
+    b = ring.unpack(ring.pow(t, (field.order**d - 1) // 2))
     return poly_gcd(b - Poly.one(field), h)
 
 
@@ -542,9 +686,10 @@ def _equal_degree_split(h: Poly, d: int, rng, out: list):
     if h.degree == d:
         out.append(h.monic())
         return
-    g = _random_split(h, d, rng)
+    ring = _ResidueRing(h)
+    g = _random_split(ring, d, rng)
     while not 0 < g.degree < h.degree:
-        g = _random_split(h, d, rng)
+        g = _random_split(ring, d, rng)
     _equal_degree_split(g, d, rng, out)
     _equal_degree_split(h // g, d, rng, out)
 
@@ -587,9 +732,11 @@ def _factor_default(f: Poly):
 def _split_off_root(f: Poly, rng) -> Elem:
     """One root of f, given that f splits into distinct linear factors."""
     while f.degree > 1:
-        g = _random_split(f, 1, rng)
-        if 0 < g.degree < f.degree:
-            f = g if 2 * g.degree <= f.degree else f // g
+        ring = _ResidueRing(f)
+        g = _random_split(ring, 1, rng)
+        while not 0 < g.degree < f.degree:
+            g = _random_split(ring, 1, rng)
+        f = g if 2 * g.degree <= f.degree else f // g
     return -(f.monic().coeffs[0])
 
 

@@ -24,7 +24,7 @@ from matspan import (
     span_verdict,
 )
 
-DIGEST = "069d588c303b4e84eb350a190f8573620e69e4cc8846fbbfb6ec520e38a28e5e"
+DIGEST = "18dc62bcf21d28a453c2df516b685a1ca52b903f149868f157a194c209cdd007"
 
 FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1))
 KINDS = (random_instance, random_cyclic_instance, irreducible_pair_instance)
@@ -88,6 +88,11 @@ def sweep_records():
                     for kind in KINDS:
                         key = [p, d, m, n, seed, kind.__name__]
                         out.append([key, _record(kind(field, m, n, seed))])
+    # irreducible pairs whose splitting fields, GF(2^12) and GF(3^10), send
+    # the root finder into large fields
+    for p, m, n in ((2, 3, 4), (3, 2, 5)):
+        inst = irreducible_pair_instance(canonical_field(p, 1), m, n, 0)
+        out.append([[p, 1, m, n, 0, "irreducible_pair_instance"], _record(inst)])
     # a splitting field of order 101^6 is past the bound: "Overflow"
     inst = random_instance(make_prime_field(101), 3, 3, 1)
     out.append([[101, 1, 3, 3, 1, "random_instance"], _record(inst)])

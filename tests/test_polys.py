@@ -22,6 +22,7 @@ from matspan import (
     roots_in,
     smallest_irreducible,
 )
+from matspan.polys import pow_mod
 
 F2 = canonical_field(2, 1)
 F3 = canonical_field(3, 1)
@@ -55,6 +56,44 @@ def test_eval_in_extension():
 def test_derivative():
     f = Poly.from_ints(F3, [1, 2, 0, 1])      # x^3 + 2x + 1
     assert f.derivative() == Poly.from_ints(F3, [2])  # 3x^2 + 2 = 2
+
+
+def _pow_by_repeated_multiplication(base, e, mod):
+    result = Poly.one(base.field)
+    base = base % mod
+    while e:
+        if e & 1:
+            result = result * base % mod
+        base = base * base % mod
+        e >>= 1
+    return result
+
+
+def test_pow_mod_matches_repeated_multiplication():
+    rng = random.Random(2024)
+    orders = ((2, 1), (3, 1), (65521, 1), (2**31 - 1, 1), (2, 4), (3, 5),
+              (5, 6), (2, 15), (46337, 2))
+    for p, d in orders:
+        field = canonical_field(p, d)
+        q = field.order
+        top = field.elem([p - 1] * d)  # every F_p digit at its largest
+        for k in range(1, 7):
+            mod = Poly(field, [field.random_elem(rng) for _ in range(k)] + [field.one])
+            exps = (0, 1, 2, q, (q**k - 1) // 2, rng.randrange(q * q), rng.randrange(q * q))
+            degree = k + rng.randrange(k + 2)
+            cases = [
+                (Poly.zero(field), exps),
+                (Poly(field, [field.random_elem(rng) for _ in range(degree)] + [field.one]),
+                 exps),
+                # reduces to the residue whose F_p digits are all p - 1: its
+                # products have the largest slot sums the packed ring holds
+                (Poly(field, [top] * k) + mod * Poly.x(field), (1, 2, 3)),
+            ]
+            for base, es in cases:
+                assert base.degree >= k or base.is_zero()
+                for e in es:
+                    want = _pow_by_repeated_multiplication(base, e, mod)
+                    assert pow_mod(base, e, mod) == want, (p, d, k, e)
 
 
 def test_is_irreducible_examples():
@@ -258,6 +297,11 @@ def test_embed_generator_images_pinned():
         (3, 4, 8): (0, 0, 1, 1, 1, 2, 2, 2),
         (5, 2, 4): (1, 0, 3, 1),
         (7, 2, 4): (1, 0, 4, 1),
+        (2, 5, 15): (0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 0, 1, 0),
+        (2, 8, 16): (0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1),
+        (3, 5, 10): (0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+        (5, 3, 6): (0, 4, 4, 2, 4, 4),
+        (7, 3, 6): (0, 0, 1, 0, 0, 0),
     }
     for (p, d1, d2), image in pinned.items():
         got = embed(canonical_field(p, d1).gen(), canonical_field(p, d2))
